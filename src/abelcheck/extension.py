@@ -31,6 +31,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
+import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,7 +49,6 @@ from .special_points import (
     BlowupSchedule,
     SpecialPoint,
     enumerate_special_points,
-    far_branch_counts,
 )
 
 
@@ -184,6 +186,17 @@ def _marked_admissible(g: DualGraph) -> list[Subcurve]:
     return [y for y in admissible_subcurves(g) if g.marked in y.members]
 
 
+def _interval(
+    g: DualGraph, pol: Polarization, l_md: Multidegree, y: Subcurve
+) -> tuple[Fraction, Fraction]:
+    """deg(Y) - weight(Y), and half the number of nodes on Y's boundary."""
+    base = Fraction(sum(l_md.degs[i - 1] for i in y.members)) - sum(
+        pol.weights[i - 1] for i in y.members
+    )
+    boundary = sum(1 for r, t in g.nodes if (r in y.members) != (t in y.members))
+    return base, Fraction(boundary, 2)
+
+
 def check_admissibility_condition(
     g: DualGraph,
     pol: Polarization,
@@ -246,14 +259,7 @@ def check_stability_condition(
     levels = _chart_levels(g, pol, l_md, sections, chart_count, marked_extra)
     node_range = range(1, len(g.nodes) + 1)
     for y in _marked_admissible(g):
-        base = (
-            Fraction(sum(l_md.degs[i - 1] for i in y.members))
-            - sum(pol.weights[i - 1] for i in y.members)
-        )
-        half_k = Fraction(
-            sum(1 for r, t in g.nodes if (r in y.members) != (t in y.members)),
-            2,
-        )
+        base, half_k = _interval(g, pol, l_md, y)
         per_node = {
             node: {
                 j: section_count_away(g, sections, y, node, j)
@@ -307,14 +313,7 @@ def check_fixed_chart_bound(
     """
     levels = _chart_levels(g, pol, l_md, sections, chart_count, marked_extra)
     for y in _marked_admissible(g):
-        base = (
-            Fraction(sum(l_md.degs[i - 1] for i in y.members))
-            - sum(pol.weights[i - 1] for i in y.members)
-        )
-        half_k = Fraction(
-            sum(1 for r, t in g.nodes if (r in y.members) != (t in y.members)),
-            2,
-        )
+        base, half_k = _interval(g, pol, l_md, y)
         for j in range(1, chart_count + 1):
             total = base + sum(
                 section_count_away(g, sections, y, node, j)
@@ -326,92 +325,89 @@ def check_fixed_chart_bound(
     return True
 
 
-def _point_corrections(
-    point: SpecialPoint, c: Fraction, node_count: int
-) -> tuple[list[list[int]], list[int]]:
-    """Per-node correction table for the two-component fast path.
-
-    Returns (table, level) where table[n][i] is a - b for node n+1 and
-    the i-th stored word, and level[i] is the balancing twist level of
-    that word.  Everything depends on the parameters only through c.
-    """
-    words = point.branch_words
-    counts = [far_branch_counts(point, w, node_count) for w in words]
-    levels = [
-        math.ceil((Fraction(b.total) + c) / node_count - Fraction(1, 2))
-        for b in counts
-    ]
-    table = [
-        [counts[i].per_node[n] - levels[i] for i in range(len(words))]
-        for n in range(node_count)
-    ]
-    return table, levels
-
-
-def _check_point(
-    point: SpecialPoint, c: Fraction, node_count: int, mode: str
-) -> tuple[int, dict] | None:
-    """First failed condition for one stratum record, or None.
-
-    On the marked component deg(Y) - weight(Y) equals c, and the
-    interval allows half the node count on either side.
-    """
-    table, _ = _point_corrections(point, c, node_count)
-    words = point.branch_words
-    for n in range(node_count):
-        row = table[n]
-        lo = min(range(len(row)), key=row.__getitem__)
-        hi = max(range(len(row)), key=row.__getitem__)
-        if row[hi] - row[lo] > 1:
-            return 1, {
-                "node": n + 1,
-                "charts": [words[lo], words[hi]],
-                "values": [row[lo], row[hi]],
-            }
-    half_k = Fraction(node_count, 2)
-
-    def interval_fails(choice: tuple[int, ...]) -> dict | None:
-        total = c + sum(table[n][choice[n]] for n in range(node_count))
-        if -half_k < total <= half_k:
-            return None
-        return {
-            "assignment": {str(n + 1): words[choice[n]] for n in range(node_count)},
-            "margin": str(total),
-            "bound": str(half_k),
-        }
-
-    if mode == "brute":
-        for combo in itertools.product(
-            range(len(words)), repeat=node_count
-        ):
-            witness = interval_fails(combo)
-            if witness:
-                return 2, witness
-    else:
-        low = tuple(
-            min(range(len(words)), key=table[n].__getitem__)
-            for n in range(node_count)
-        )
-        high = tuple(
-            max(range(len(words)), key=table[n].__getitem__)
-            for n in range(node_count)
-        )
-        for choice in (low, high):
-            witness = interval_fails(choice)
-            if witness:
-                return 2, witness
-    return None
-
-
 def _check_chunk(
     points: tuple[SpecialPoint, ...], c: Fraction, node_count: int, mode: str
 ) -> list[tuple[SpecialPoint, int, dict]]:
-    found = []
-    for p in points:
-        result = _check_point(p, c, node_count, mode)
-        if result is not None:
-            found.append((p, result[0], result[1]))
-    return found
+    """(record, condition, witness) for each record failing a condition.
+
+    Node n's correction on a word is its count of 2s at the positions
+    whose section lands on n, minus the word's chart level, which for t
+    far sections is ceil((t + c)/q - 1/2).  On the marked component
+    deg(Y) - weight(Y) equals c, so corrections summing to the integer
+    S stay in the interval (-q/2, q/2] exactly when s_lo < S <= s_hi.
+    """
+    depth = max((p.depth for p in points), default=0)
+    levels = [
+        math.ceil((t + c) / node_count - Fraction(1, 2)) for t in range(depth + 1)
+    ]
+    half_k = Fraction(node_count, 2)
+    s_lo, s_hi = math.floor(-half_k - c), math.floor(half_k - c)
+
+    def check_point(point: SpecialPoint) -> tuple[int, dict] | None:
+        words = point.branch_words
+        word_levels = [levels[w.count("2")] for w in words]
+        table = []
+        for n in range(1, node_count + 1):
+            positions = [k for k, m in enumerate(point.section_nodes) if m == n]
+            far = operator.itemgetter(*positions) if positions else lambda w: ""
+            row = [far(w).count("2") - lv for w, lv in zip(words, word_levels)]
+            lo, hi = min(row), max(row)
+            if hi - lo > 1:
+                return 1, {
+                    "node": n,
+                    "charts": [words[row.index(lo)], words[row.index(hi)]],
+                    "values": [lo, hi],
+                }
+            table.append(row)
+        if mode == "brute":
+            choices = itertools.product(range(len(words)), repeat=node_count)
+        else:
+            choices = (
+                [row.index(min(row)) for row in table],
+                [row.index(max(row)) for row in table],
+            )
+        for choice in choices:
+            total = sum(row[i] for row, i in zip(table, choice))
+            if not s_lo < total <= s_hi:
+                return 2, {
+                    "assignment": {
+                        str(n): words[i] for n, i in enumerate(choice, start=1)
+                    },
+                    "margin": str(c + total),
+                    "bound": str(half_k),
+                }
+        return None
+
+    return [(p, *r) for p in points if (r := check_point(p)) is not None]
+
+
+def _check_sharded(
+    points: tuple[SpecialPoint, ...],
+    c: Fraction,
+    node_count: int,
+    mode: str,
+    workers: int,
+) -> list[tuple[SpecialPoint, int, dict]]:
+    """_check_chunk over round-robin shards in a process pool.
+
+    Falls back to one serial pass, with a note on stderr, only when the
+    pool cannot be started; an error raised inside a worker propagates.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [
+                pool.submit(_check_chunk, points[i::workers], c, node_count, mode)
+                for i in range(workers)
+            ]
+    except (OSError, NotImplementedError) as exc:
+        print(
+            f"abelcheck: cannot start a process pool ({exc}); checking serially",
+            file=sys.stderr,
+        )
+        return _check_chunk(points, c, node_count, mode)
+    return [found for fut in futures for found in fut.result()]
 
 
 @dataclass(frozen=True)
@@ -482,8 +478,8 @@ def verify_extension(
     the enumeration's word ordering for the schedule-induced one, which
     changes the set of records and typically breaks the conditions;
     InvalidOrderError propagates when the schedule fails to resolve a
-    stratum.  Sharding splits the record list round-robin and never
-    changes the report.
+    stratum.  Sharding splits the record list round-robin over at most
+    os.cpu_count() worker processes and never changes the report.
     """
     if mode not in ("brute", "separable"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -500,22 +496,9 @@ def verify_extension(
     c = pol.weights[1] - Fraction(l_md.degs[1])
     points = enumerate_special_points(depth, node_count, order)
 
-    chunks = [points[i::shards] for i in range(shards)]
-    chunks = [ch for ch in chunks if ch]
-    results: list[tuple[SpecialPoint, int, dict]] = []
-    if len(chunks) > 1:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-                futures = [
-                    pool.submit(_check_chunk, ch, c, node_count, mode)
-                    for ch in chunks
-                ]
-                for fut in futures:
-                    results.extend(fut.result())
-        except (OSError, PermissionError, RuntimeError):
-            results = _check_chunk(points, c, node_count, mode)
+    workers = min(shards, os.cpu_count() or 1, len(points))
+    if workers > 1:
+        results = _check_sharded(points, c, node_count, mode, workers)
     else:
         results = _check_chunk(points, c, node_count, mode)
 

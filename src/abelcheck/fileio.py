@@ -132,6 +132,12 @@ def chain_from_dict(data) -> ChainCurve:
             ),
             marked=parse_integer(base.get("marked", 1)),
         )
+        stray = set(raw_rows) - {str(t) for t in range(len(g.nodes))}
+        if stray:
+            raise InputError(
+                f"chain: chain_degs keys {sorted(stray)} are not node indices "
+                f"0..{len(g.nodes) - 1}"
+            )
         rows = []
         for t in range(len(g.nodes)):
             row = raw_rows.get(str(t), [0] * chain_len)

@@ -84,6 +84,18 @@ class SpecialPoint:
         if len(set(self.branch_words)) != d + 1:
             raise ValueError("words must be pairwise distinct")
 
+    @classmethod
+    def _trusted(
+        cls, section_nodes: tuple[int, ...], branch_words: tuple[str, ...]
+    ) -> "SpecialPoint":
+        """A constructible record that skips __post_init__'s checks, for
+        children of a record that passed them."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "section_nodes", section_nodes)
+        object.__setattr__(point, "branch_words", branch_words)
+        object.__setattr__(point, "constructible", True)
+        return point
+
     @property
     def depth(self) -> int:
         return len(self.section_nodes)
@@ -261,21 +273,19 @@ def extend_special_point(
     """
     if not point.constructible:
         raise NotConstructibleError("can only extend enumerated records")
+    node = int(node)
+    if node < 1:
+        raise ValueError("node indices start at 1")
     if schedule is None:
         ordered = node_order(point, node)
     else:
         ordered = schedule_order(point, node, schedule)
+    section_nodes = point.section_nodes + (node,)
     children = []
     for h in range(1, point.depth + 2):
         words = [w + "1" for w in ordered[:h]]
         words += [w + "2" for w in ordered[h - 1 :]]
-        children.append(
-            SpecialPoint(
-                point.section_nodes + (node,),
-                tuple(sorted(words)),
-                constructible=True,
-            )
-        )
+        children.append(SpecialPoint._trusted(section_nodes, tuple(sorted(words))))
     return tuple(children)
 
 

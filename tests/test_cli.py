@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from abelcheck import BlowupSchedule
 from abelcheck.cli import main
 
 
@@ -297,3 +300,28 @@ def test_oracle_twist_search_prints_twist_and_balanced_degrees(tmp_path, capsys)
     assert main(["oracle", "twist-search", path, "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data == {"twist": [0, 1], "balanced": [0, 0]}
+
+
+@pytest.mark.parametrize("rows", [{"7": [5, 5], "x": [1]}, {"0": [0, 0], "1": [0, 0]}])
+def test_semistabilize_rejects_chain_rows_for_unknown_nodes(tmp_path, capsys, rows):
+    path = _write(
+        tmp_path,
+        "chain.json",
+        {
+            "base": {"components": 2, "nodes": [[1, 2]]},
+            "d": 2,
+            "base_degs": [5, 5],
+            "chain_degs": rows,
+        },
+    )
+    assert main(["semistabilize", path]) == 2
+    assert "not node indices" in capsys.readouterr().err
+
+
+def test_every_move_the_readme_names_is_known():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    listing = re.search(r"\(known moves: (.*?);", readme, re.S)
+    assert listing is not None
+    moves = re.findall(r"`([^`]+)`", listing.group(1))
+    assert len(moves) == len(BlowupSchedule._KNOWN)
+    assert set(moves) == set(BlowupSchedule._KNOWN)

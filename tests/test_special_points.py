@@ -288,3 +288,24 @@ def test_record_validation_rejects_malformed_input():
         enumerate_special_points(0, 1)
     with pytest.raises(ValueError):
         enumerate_special_points(1, 0)
+
+
+def test_enumerated_records_equal_their_validated_rebuild():
+    # Children are built without re-validation; rebuilding each one
+    # through the public constructor shows nothing was skipped wrongly.
+    for d, q in ((4, 3), (5, 2)):
+        points = enumerate_special_points(d, q)
+        assert len(points) == math.factorial(d) * q**d
+        for p in points:
+            rebuilt = SpecialPoint(p.section_nodes, p.branch_words, True)
+            assert rebuilt == p
+            assert hash(rebuilt) == hash(p)
+            assert p.constructible
+            assert type(p.section_nodes) is tuple and type(p.branch_words) is tuple
+
+
+def test_extension_still_rejects_a_node_below_one():
+    point = enumerate_special_points(2, 2)[0]
+    for node in (0, -1):
+        with pytest.raises(ValueError, match="start at 1"):
+            extend_special_point(point, node)
