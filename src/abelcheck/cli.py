@@ -19,7 +19,6 @@ as floats.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .blowups import NotSmoothError, collection_order
@@ -34,18 +33,20 @@ from .curves import (
 from .extension import verify_extension
 from .fileio import (
     InputError,
+    format_json,
     load_chain,
     load_collection,
     load_curve,
     load_schedule,
     parse_fraction,
+    write_json_array,
 )
 from .special_points import InvalidOrderError, enumerate_special_points
 
 
 def _emit(data: dict, as_json: bool, lines) -> None:
     if as_json:
-        print(json.dumps(data, sort_keys=True, indent=2))
+        print(format_json(data))
     else:
         for line in lines:
             print(line)
@@ -111,14 +112,15 @@ def cmd_enumerate(args) -> int:
         print(len(points))
         return 0
     if args.json:
-        payload = [
+        records = (
             {
                 "section_nodes": list(p.section_nodes),
                 "branch_words": list(p.branch_words),
             }
             for p in points
-        ]
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        )
+        write_json_array(sys.stdout, records)
+        sys.stdout.write("\n")
     else:
         for p in points:
             nodes = ",".join(str(n) for n in p.section_nodes)
@@ -156,7 +158,8 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        print(report.to_json())
+        report.write_json(sys.stdout)
+        sys.stdout.write("\n")
     else:
         print(
             f"checked {report.points} stratum records at depth {report.depth}, "

@@ -28,8 +28,8 @@ everything from explicit section data on an arbitrary dual graph.
 
 from __future__ import annotations
 
+import io
 import itertools
-import json
 import math
 import operator
 import os
@@ -45,6 +45,7 @@ from .curves import (
     admissible_subcurves,
     quasistable_twist_search,
 )
+from .fileio import format_json, write_json_array
 from .special_points import (
     BlowupSchedule,
     SpecialPoint,
@@ -442,7 +443,7 @@ class ExtensionReport:
     def verdict(self) -> str:
         return "pass" if not self.failures else "fail"
 
-    def to_dict(self) -> dict:
+    def _summary(self) -> dict:
         return {
             "params": {
                 "depth": self.depth,
@@ -453,12 +454,30 @@ class ExtensionReport:
                 "mode": self.mode,
             },
             "points": self.points,
-            "failures": [f.to_dict() for f in self.failures],
             "verdict": self.verdict,
         }
 
+    def to_dict(self) -> dict:
+        return {**self._summary(), "failures": [f.to_dict() for f in self.failures]}
+
+    def write_json(self, fp) -> None:
+        """Write to_json()'s text to fp, one failure at a time.
+
+        With sorted keys "failures" comes first, ahead of the summary's
+        "params", "points" and "verdict"; neither the failure dicts nor
+        the whole text is ever built.
+        """
+        fp.write('{\n  "failures": ')
+        write_json_array(fp, (f.to_dict() for f in self.failures), level=1)
+        for key, value in sorted(self._summary().items()):
+            fp.write(f',\n  "{key}": {format_json(value, 1)}')
+        fp.write("\n}")
+
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        """``json.dumps(self.to_dict(), sort_keys=True, indent=2)``."""
+        buffer = io.StringIO()
+        self.write_json(buffer)
+        return buffer.getvalue()
 
 
 def verify_extension(

@@ -1,4 +1,5 @@
-"""JSON loading for the command line, with exact rational parsing.
+"""JSON loading for the command line, with exact rational parsing, and
+the indented JSON writer behind every report.
 
 All numeric weights travel as integers or strings like "3/4"; floats
 are rejected outright because every check in this package is exact and
@@ -10,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .blowups import BlowupDivisor, SubsetCollection, normalize_divisor
 from .chains import ChainCurve
@@ -55,6 +57,62 @@ def parse_fraction(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse rational {value!r}") from exc
     raise InputError(f"expected a rational, got {type(value).__name__}")
+
+
+def format_json(value, level: int = 0) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, nested ``level`` deep.
+
+    Takes str, int, bool, None, lists, tuples and dicts with str keys;
+    anything else, floats included, raises TypeError.  Every line after
+    the first is indented as it would be at that depth of an enclosing
+    document.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        brackets = "[]"
+        parts = [format_json(v, level + 1) for v in value]
+    elif isinstance(value, dict):
+        if not all(isinstance(k, str) for k in value):
+            raise TypeError("JSON object keys must be str")
+        brackets = "{}"
+        parts = [
+            f"{encode_basestring_ascii(k)}: {format_json(value[k], level + 1)}"
+            for k in sorted(value)
+        ]
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} as exact JSON")
+    if not parts:
+        return brackets
+    inner = "\n" + "  " * (level + 1)
+    return (
+        brackets[0] + inner + ("," + inner).join(parts)
+        + "\n" + "  " * level + brackets[1]
+    )
+
+
+def write_json_array(fp, items, level: int = 0) -> None:
+    """Write ``format_json(list(items), level)`` to fp without building it.
+
+    Items are formatted one at a time and written 256 at a time, so
+    neither the list nor its whole text is ever held in memory.
+    """
+    inner = "\n" + "  " * (level + 1)
+    sep, end, chunk = "[" + inner, "[]", []
+    for item in items:
+        chunk += (sep, format_json(item, level + 1))
+        sep, end = "," + inner, "\n" + "  " * level + "]"
+        if len(chunk) >= 512:
+            fp.write("".join(chunk))
+            chunk.clear()
+    chunk.append(end)
+    fp.write("".join(chunk))
 
 
 def format_fraction(value: Fraction) -> str:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -281,15 +282,16 @@ def extend_special_point(
     else:
         ordered = schedule_order(point, node, schedule)
     section_nodes = point.section_nodes + (node,)
-    children = []
-    for h in range(1, point.depth + 2):
-        words = [w + "1" for w in ordered[:h]]
-        words += [w + "2" for w in ordered[h - 1 :]]
-        children.append(SpecialPoint._trusted(section_nodes, tuple(sorted(words))))
-    return tuple(children)
+    # Interned, so that all records share one string per distinct word.
+    near = [sys.intern(w + "1") for w in ordered]
+    far = [sys.intern(w + "2") for w in ordered]
+    return tuple(
+        SpecialPoint._trusted(section_nodes, tuple(sorted(near[:h] + far[h - 1 :])))
+        for h in range(1, point.depth + 2)
+    )
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)
 def _enumerate(
     depth: int, node_count: int, schedule: BlowupSchedule | None
 ) -> tuple[SpecialPoint, ...]:
@@ -315,7 +317,8 @@ def enumerate_special_points(
 
     Starts from the two-word records at depth 1 (one per node) and
     extends over every node choice, deduplicating and sorting by
-    (section_nodes, branch_words).  Results are cached.
+    (section_nodes, branch_words).  The results of the 32 most recently
+    used parameter sets are cached.
     """
     if depth < 1 or node_count < 1:
         raise ValueError("depth and node count must be positive")
