@@ -182,7 +182,7 @@ def subcurve_weight(pol: Polarization, y: Subcurve) -> Fraction:
     return sum((pol.weights[i - 1] for i in y.members), Fraction(0))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def admissible_subcurves(g: DualGraph) -> tuple[Subcurve, ...]:
     """Connected subcurves with connected complement, smallest first.
 
@@ -289,38 +289,45 @@ def default_search_radius(g: DualGraph, pol: Polarization, md: Multidegree) -> i
     A stabilizing twist only has to shuttle the excess deg_i - w_i
     across the graph, so its coefficient spread is controlled by the
     total imbalance; the bound below is deliberately generous because
-    the search stops at the first hit and the cap only matters for the
+    the descent needs no bound and the cap only matters for the
     exhaustion error path.
     """
     peak = max(math.ceil(abs(Fraction(d) - w)) for d, w in zip(md.degs, pol.weights))
     return 2 * (abs(pol.e) + g.components * peak) + g.components
 
 
-class _StabilityTable:
-    """Precomputed subcurve data for repeated stability tests on one graph."""
+@lru_cache(maxsize=128)
+def _twist_rows(
+    g: DualGraph, pol: Polarization
+) -> tuple[int, tuple[int, ...], tuple[tuple, ...]]:
+    """The stability inequalities of ``g`` and ``pol`` in integers.
 
-    def __init__(self, g: DualGraph, pol: Polarization):
-        _check_sizes(g, pol, None)
-        self.rows: list[tuple[tuple[int, ...], bool, Fraction, Fraction]] = []
-        for y in admissible_subcurves(g):
-            self.rows.append(
-                (
-                    y.sorted_members(),
-                    g.marked in y.members,
-                    subcurve_weight(pol, y),
-                    Fraction(boundary_count(g, y), 2),
-                )
+    Returns ``(scale, weights, rows)``: ``scale`` is twice the lcm of the
+    weight denominators, ``weights[i]`` is scale times the weight of
+    component i + 1, and each admissible subcurve Y gives a row
+    ``(members, has_mark, half, boundary)`` with 0-based members,
+    half = scale * k(Y) / 2 and one (inside, outside) index pair per
+    node leaving Y.
+    """
+    scale = 2 * math.lcm(*(w.denominator for w in pol.weights))
+    weights = tuple(int(w * scale) for w in pol.weights)
+    rows = []
+    for y in admissible_subcurves(g):
+        inside = y.members
+        boundary = tuple(
+            (r - 1, s - 1) if r in inside else (s - 1, r - 1)
+            for r, s in g.nodes
+            if (r in inside) != (s in inside)
+        )
+        rows.append(
+            (
+                tuple(i - 1 for i in y.sorted_members()),
+                g.marked in inside,
+                scale * len(boundary) // 2,
+                boundary,
             )
-
-    def accepts(self, degs: tuple[int, ...]) -> bool:
-        for members, has_mark, weight, half in self.rows:
-            margin = sum(degs[i - 1] for i in members) - weight
-            if has_mark:
-                if not (-half < margin <= half):
-                    return False
-            elif not (-half <= margin < half):
-                return False
-        return True
+        )
+    return scale, weights, tuple(rows)
 
 
 def quasistable_twist_search(
@@ -331,24 +338,75 @@ def quasistable_twist_search(
 ) -> TwistVector:
     """Find the canonical twist whose action makes ``md`` quasistable.
 
-    The search is breadth-first over canonical twist vectors, so the
-    representative with the smallest radius is returned; there is exactly
-    one per input (the test suite checks uniqueness by exhaustion).
-    Raises TwistSearchExhaustedError past ``max_radius``.
+    There is exactly one such twist up to constants (Esteves, Trans. AMS
+    2001; the test suite checks uniqueness by exhaustion), and it is
+    found by descent.  Start from z = 0 with the excesses
+    x_i = deg_i - w_i, scaled to integers.  While some admissible
+    subcurve Y violates its inequality, take the most violated one and
+    twist by +1_Y (margin too low) or -1_Y (too high), repeated until
+    Y's margin is in range; each unit twist moves x(Y) by k(Y) and
+    moves one degree across each boundary node.
+
+    Why this stops, and only at the answer: twisting by z sends x to
+    x + Lz, with L the Laplacian of the dual graph.  Put
+    x~ = x - eps * (e_marked - 1/p) for a small eps > 0 and
+    E(z) = z^T L z / 2 + z^T x~.  Since sum(x) = 0, E is invariant
+    under adding constants, and since the graph is connected, L is
+    positive definite modulo constants, so E takes finitely many
+    values below E(0) on integer twists.  A unit twist by t * 1_Y
+    (t = +-1) changes E by t * x~(Y) + k(Y) / 2, where x~(Y) is taken
+    at the current twist.  The eps shifts x(Y) down by
+    eps * (1 - |Y|/p) when Y carries the marked point and up by
+    eps * |Y|/p otherwise, so Y violates its half-open inequality
+    exactly when |x~(Y)| > k(Y)/2, and then the move against the sign
+    of x~(Y) lowers E by |x~(Y)| - k(Y)/2 > 0.  So the descent ends,
+    and it ends where no admissible subcurve is violated, which is
+    quasistability.
+
+    Raises TwistSearchExhaustedError when the answer's radius (its
+    largest canonical coefficient) exceeds ``max_radius``; the zero
+    twist is always accepted.  ``max_radius=None`` means
+    :func:`default_search_radius`, which is at least the number of
+    components, so it is only computed for answers wider than that.
     """
     _check_sizes(g, pol, md)
-    if md.total != pol.e:
+    scale, weights, rows = _twist_rows(g, pol)
+    excess = [scale * d - w for d, w in zip(md.degs, weights)]
+    if sum(excess):
         raise DegreeMismatchError(
             f"multidegree total {md.total} != polarization degree {pol.e}"
         )
-    if max_radius is None:
-        max_radius = default_search_radius(g, pol, md)
-    table = _StabilityTable(g, pol)
-    for coeffs in iter_canonical_twists(g.components, max_radius):
-        candidate = twist_action(g, md, TwistVector(coeffs))
-        if table.accepts(candidate.degs):
-            return TwistVector(coeffs)
-    raise TwistSearchExhaustedError(
-        f"no quasistable twist within radius {max_radius}; "
-        "this points at malformed input or a bookkeeping bug"
-    )
+    z = [0] * g.components
+    while True:
+        worst, move = -1, None
+        for row in rows:
+            members, has_mark, half, _ = row
+            x = sum(excess[i] for i in members)
+            # The number of unit twists along Y that brings x(Y) into
+            # (-half, half] when Y is marked, [-half, half) otherwise.
+            if has_mark:
+                steps = (half - x) // (2 * half)
+            else:
+                steps = -((x + half) // (2 * half))
+            if steps and abs(x) - half > worst:
+                worst, move = abs(x) - half, (row, steps)
+        if move is None:
+            break
+        (members, _, _, boundary), steps = move
+        for i in members:
+            z[i] += steps
+        for inside, outside in boundary:
+            excess[inside] += steps * scale
+            excess[outside] -= steps * scale
+    low = min(z)
+    twist = TwistVector(tuple(c - low for c in z))
+    radius = max(twist.coeffs)
+    limit = max_radius
+    if limit is None and radius > g.components:
+        limit = default_search_radius(g, pol, md)
+    if limit is not None and radius > max(limit, 0):
+        raise TwistSearchExhaustedError(
+            f"no quasistable twist within radius {limit}; "
+            "this points at malformed input or a bookkeeping bug"
+        )
+    return twist

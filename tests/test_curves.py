@@ -23,6 +23,7 @@ from abelcheck import (
     quasistable_twist_search,
     twist_action,
 )
+from abelcheck import curves
 from conftest import (
     all_proper_subsets,
     cycle_graph,
@@ -30,6 +31,7 @@ from conftest import (
     path_graph,
     two_component,
 )
+from reference_twist import reference_twist_search
 
 
 def _oracle_quasistable(g, pol, md):
@@ -239,6 +241,98 @@ def test_exhausted_search_raises_instead_of_looping():
     g = two_component(1)
     with pytest.raises(TwistSearchExhaustedError):
         quasistable_twist_search(g, _zero_pol(2), Multidegree((9, -9)), max_radius=0)
+
+
+def _oracle_grid():
+    """Deterministic (graph, polarization, multidegree) cases for the oracle.
+
+    Paths and cycles with up to 5 components, two components joined by 2
+    or 3 nodes and the complete graph on 4 components, each with every
+    marked component; weights with denominators 1, 2, 3, 4 and 6; small
+    degrees (at most two nonzero entries from 4 components on, which
+    keeps the breadth-first reference cheap).
+    """
+    shapes = [path_graph(p).nodes for p in range(2, 6)]
+    shapes += [cycle_graph(p).nodes for p in range(3, 6)]
+    shapes += [two_component(q).nodes for q in (2, 3)]
+    shapes.append(tuple(itertools.combinations(range(1, 5), 2)))
+    for nodes in shapes:
+        p = max(max(pair) for pair in nodes)
+        for marked in range(1, p + 1):
+            g = DualGraph(p, nodes, marked)
+            for den in (1, 2, 3, 4, 6):
+                head = [Fraction((5 * i) % (den + 1) - den // 2, den) for i in range(1, p)]
+                pol = Polarization(tuple(head) + (round(sum(head)) - sum(head),))
+                degrees = [
+                    md
+                    for md in multidegrees_summing(p, 1 if p > 3 else 2, pol.e)
+                    if p < 4 or sum(map(bool, md.degs)) <= 2
+                ]
+                for md in degrees[:: max(1, len(degrees) // 5)]:
+                    yield g, pol, md
+
+
+def test_descent_matches_the_breadth_first_reference_on_a_grid():
+    cases = 0
+    for g, pol, md in _oracle_grid():
+        assert quasistable_twist_search(g, pol, md) == reference_twist_search(g, pol, md)
+        cases += 1
+    assert cases > 900
+
+
+@pytest.mark.parametrize(
+    "g, degs",
+    [
+        (two_component(1), (3, -3)),
+        (path_graph(3), (2, 0, -2)),
+        (cycle_graph(4), (3, 0, 0, -3)),
+        (DualGraph(4, tuple(itertools.combinations(range(1, 5), 2)), marked=2), (4, 1, -2, -3)),
+    ],
+)
+def test_search_raises_exactly_when_the_answer_is_past_max_radius(g, degs):
+    pol = _zero_pol(g.components)
+    md = Multidegree(degs)
+    expected = reference_twist_search(g, pol, md)
+    radius = max(expected.coeffs)
+    assert radius >= 1
+    assert quasistable_twist_search(g, pol, md, max_radius=radius) == expected
+    with pytest.raises(TwistSearchExhaustedError) as ours:
+        quasistable_twist_search(g, pol, md, max_radius=radius - 1)
+    with pytest.raises(TwistSearchExhaustedError) as theirs:
+        reference_twist_search(g, pol, md, max_radius=radius - 1)
+    assert str(ours.value) == str(theirs.value)
+
+
+def test_default_radius_is_computed_only_for_answers_wider_than_the_graph(monkeypatch):
+    calls = []
+    real = curves.default_search_radius
+    monkeypatch.setattr(
+        curves, "default_search_radius", lambda *args: calls.append(args) or real(*args)
+    )
+    g = path_graph(3)
+    pol = _zero_pol(3)
+    narrow = Multidegree((1, 0, -1))
+    assert quasistable_twist_search(g, pol, narrow) == TwistVector((0, 1, 2))
+    assert calls == []
+    wide = Multidegree((3, 0, -3))
+    found = quasistable_twist_search(g, pol, wide)
+    assert max(found.coeffs) > g.components
+    assert found == reference_twist_search(g, pol, wide)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("g, k", [(path_graph(12), 3), (cycle_graph(12), 5)])
+def test_twist_search_scales_to_twelve_components(g, k):
+    pol = _zero_pol(12)
+    md = Multidegree((k,) + (0,) * 10 + (-k,))
+    twist = quasistable_twist_search(g, pol, md)
+    assert twist == twist.canonical()
+    assert is_quasistable(g, pol, twist_action(g, md, twist)).ok
+
+
+def test_subcurve_and_twist_row_caches_are_bounded():
+    assert admissible_subcurves.cache_info().maxsize is not None
+    assert curves._twist_rows.cache_info().maxsize is not None
 
 
 def test_total_degree_mismatch_is_a_loud_error():
