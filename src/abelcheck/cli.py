@@ -161,9 +161,10 @@ def cmd_verify(args) -> int:
         report.write_json(sys.stdout)
         sys.stdout.write("\n")
     else:
+        how = " by the rotation theorem" if report.path == "theorem" else ""
         print(
             f"checked {report.points} stratum records at depth {report.depth}, "
-            f"{report.node_count} node(s): {report.verdict}"
+            f"{report.node_count} node(s){how}: {report.verdict}"
         )
         for f in report.failures:
             nodes = ",".join(str(n) for n in f.point.section_nodes)

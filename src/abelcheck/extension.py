@@ -34,7 +34,7 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .curves import (
@@ -50,6 +50,7 @@ from .special_points import (
     BlowupSchedule,
     SpecialPoint,
     enumerate_special_points,
+    record_count,
 )
 
 
@@ -411,7 +412,7 @@ def _check_sharded(
     return [found for fut in futures for found in fut.result()]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointFailure:
     point: SpecialPoint
     condition: int
@@ -438,6 +439,9 @@ class ExtensionReport:
     mode: str
     points: int
     failures: tuple[PointFailure, ...]
+    # "theorem" or "records": how verify_extension reached the verdict.
+    # Not part of equality or of the report's JSON.
+    path: str = field(compare=False)
 
     @property
     def verdict(self) -> str:
@@ -480,6 +484,27 @@ class ExtensionReport:
         return buffer.getvalue()
 
 
+def _checked_inputs(
+    degrees: tuple[int, int],
+    weights: tuple[Fraction, Fraction] | tuple[int, int],
+    mode: str,
+    shards: int,
+) -> tuple[Multidegree, Polarization]:
+    if mode not in ("brute", "separable"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if shards < 1:
+        raise ValueError("shards must be positive")
+    l_md = Multidegree(tuple(degrees))
+    pol = Polarization(tuple(weights))
+    if len(l_md.degs) != 2 or len(pol.weights) != 2:
+        raise ValueError("two components expected")
+    if l_md.total != pol.e:
+        raise ValueError(
+            f"degree total {l_md.total} does not match weight total {pol.e}"
+        )
+    return l_md, pol
+
+
 def verify_extension(
     depth: int,
     node_count: int,
@@ -499,19 +524,41 @@ def verify_extension(
     InvalidOrderError propagates when the schedule fails to resolve a
     stratum.  Sharding splits the record list round-robin over at most
     os.cpu_count() worker processes and never changes the report.
+
+    The default order in separable mode enumerates nothing: by the
+    rotation theorem (abelcheck.theorem) all d!*q^d records pass, and
+    the report says so with path "theorem".  Brute mode and every
+    custom order check each record (_verify_records).
     """
-    if mode not in ("brute", "separable"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if shards < 1:
-        raise ValueError("shards must be positive")
-    l_md = Multidegree(tuple(degrees))
-    pol = Polarization(tuple(weights))
-    if len(l_md.degs) != 2 or len(pol.weights) != 2:
-        raise ValueError("two components expected")
-    if l_md.total != pol.e:
-        raise ValueError(
-            f"degree total {l_md.total} does not match weight total {pol.e}"
+    if order is not None or mode != "separable":
+        return _verify_records(
+            depth, node_count, degrees, weights, order, mode, shards
         )
+    _, pol = _checked_inputs(degrees, weights, mode, shards)
+    return ExtensionReport(
+        depth=depth,
+        node_count=node_count,
+        degrees=tuple(int(x) for x in degrees),
+        weights=(pol.weights[0], pol.weights[1]),
+        order=None,
+        mode=mode,
+        points=record_count(depth, node_count),
+        failures=(),
+        path="theorem",
+    )
+
+
+def _verify_records(
+    depth: int,
+    node_count: int,
+    degrees: tuple[int, int],
+    weights: tuple[Fraction, Fraction] | tuple[int, int],
+    order: BlowupSchedule | None = None,
+    mode: str = "separable",
+    shards: int = 1,
+) -> ExtensionReport:
+    """verify_extension by enumerating and checking every record."""
+    l_md, pol = _checked_inputs(degrees, weights, mode, shards)
     c = pol.weights[1] - Fraction(l_md.degs[1])
     points = enumerate_special_points(depth, node_count, order)
 
@@ -532,4 +579,5 @@ def verify_extension(
         mode=mode,
         points=len(points),
         failures=failures,
+        path="records",
     )

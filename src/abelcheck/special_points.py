@@ -51,7 +51,7 @@ class InvalidOrderError(ValueError):
     """A custom blowup schedule does not resolve the stratum (non-smooth)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpecialPoint:
     """One deepest-stratum record.
 
@@ -308,6 +308,14 @@ def _enumerate(
             grown, key=lambda p: (p.section_nodes, p.branch_words)
         )
     return tuple(points)
+
+
+def record_count(depth: int, node_count: int) -> int:
+    """d! * q^d, the number of depth-d records over q nodes: one per
+    sequence of node and split choices."""
+    if depth < 1 or node_count < 1:
+        raise ValueError("depth and node count must be positive")
+    return math.factorial(depth) * node_count**depth
 
 
 def enumerate_special_points(

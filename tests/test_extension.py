@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from abelcheck import (
     check_fixed_chart_bound,
     check_stability_condition,
     enumerate_special_points,
+    extend_special_point,
     fiber_multidegree,
     quasistable_twist_search,
     section_count_away,
@@ -351,3 +353,17 @@ def test_verify_extension_validates_its_input():
             1,
             mode="psychic",
         )
+
+
+def test_records_and_failures_have_slots_and_pickle():
+    point = enumerate_special_points(3, 2)[5]
+    failure = verify_extension(3, 2, (0, 0), (0, 0), order=LEX_SCHEDULE).failures[0]
+    for obj in (point, failure):
+        assert not hasattr(obj, "__dict__")
+        assert pickle.loads(pickle.dumps(obj)) == obj
+    # The constructible flag is outside equality, so check it survives.
+    copy = pickle.loads(pickle.dumps(point))
+    assert copy.constructible
+    assert extend_special_point(copy, 2) == extend_special_point(point, 2)
+    hand = pickle.loads(pickle.dumps(SpecialPoint((1,), ("1", "2"))))
+    assert not hand.constructible

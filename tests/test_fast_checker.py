@@ -144,7 +144,7 @@ def test_an_error_inside_a_worker_propagates_instead_of_rerunning(
 ):
     monkeypatch.setattr(extension, "_check_chunk", _raise_in_workers)
     with pytest.raises(RuntimeError, match="inside a worker"):
-        verify_extension(2, 2, (0, 0), (0, 0), shards=2)
+        verify_extension(2, 2, (0, 0), (0, 0), order=COMPONENT_SCHEDULES[0], shards=2)
 
 
 class _PoolThatCannotStart:
@@ -174,10 +174,13 @@ def test_pool_workers_are_capped_at_the_cpu_count(monkeypatch):
     monkeypatch.setattr(
         concurrent.futures, "ProcessPoolExecutor", _PoolThatCannotStart
     )
-    expected = verify_extension(3, 2, (0, 0), (0, 0)).to_json()
+    # The default order in separable mode never enumerates, so never
+    # reaches the pool; a custom order does.
+    order = COMPONENT_SCHEDULES[0]
+    expected = verify_extension(3, 2, (0, 0), (0, 0), order=order).to_json()
     for cpus, shards, sizes in ((2, 64, [2]), (3, 2, [2]), (None, 64, [])):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         _PoolThatCannotStart.sizes = []
-        report = verify_extension(3, 2, (0, 0), (0, 0), shards=shards)
+        report = verify_extension(3, 2, (0, 0), (0, 0), order=order, shards=shards)
         assert _PoolThatCannotStart.sizes == sizes
         assert report.to_json() == expected
